@@ -92,9 +92,11 @@ bakeoff:
 # Key benchmarks, each pinned by the regression gate: analyzer window
 # analysis (serial + sharded), incident folding, pipeline ingest, the
 # pod-sharded simulation engine (serial vs 2/4 shards), the streaming
-# hub fan-out, and the tsdb follower catch-up.
-BENCH_PATTERN = ^(BenchmarkAnalyzerWindow|BenchmarkAnalyzerWindowParallel4|BenchmarkIncidentFold|BenchmarkPipelineIngest|BenchmarkEngineSharded|BenchmarkLocalizer007|BenchmarkStreamFanout|BenchmarkFollowerCatchup)$$
-BENCH_PKGS    = . ./internal/analyzer ./internal/alert ./internal/localizer ./internal/api ./internal/tsdb
+# hub fan-out, the tsdb follower catch-up, and the flat-record upload
+# round trip over loopback TCP (gated on allocs/op only: its ns/op
+# waits for a baseline captured on the 1-CPU runner).
+BENCH_PATTERN = ^(BenchmarkAnalyzerWindow|BenchmarkAnalyzerWindowParallel4|BenchmarkIncidentFold|BenchmarkPipelineIngest|BenchmarkEngineSharded|BenchmarkLocalizer007|BenchmarkStreamFanout|BenchmarkFollowerCatchup|BenchmarkWireUpload)$$
+BENCH_PKGS    = . ./internal/analyzer ./internal/alert ./internal/localizer ./internal/api ./internal/tsdb ./internal/wire
 
 bench-json:
 	$(GO) build -o bin/benchdiff ./cmd/benchdiff

@@ -70,17 +70,18 @@ func newAggregator(db *tsdb.DB) *aggregator {
 	return &aggregator{db: db, rtt: metrics.NewDistribution()}
 }
 
-func (a *aggregator) Upload(b proto.UploadBatch) {
+// UploadRecords implements proto.RecordSink.
+func (a *aggregator) UploadRecords(b *proto.RecordBatch) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.batches++
-	a.results += uint64(len(b.Results))
-	for _, r := range b.Results {
-		if r.Timeout {
+	a.results += uint64(b.Len())
+	for i := 0; i < b.Len(); i++ {
+		if b.Timeout(i) {
 			a.timeouts++
 			continue
 		}
-		a.rtt.Add(float64(r.NetworkRTT) / float64(sim.Microsecond))
+		a.rtt.Add(float64(b.NetworkRTT(i)) / float64(sim.Microsecond))
 	}
 }
 
@@ -109,9 +110,13 @@ func (a *aggregator) publish(t sim.Time) string {
 // on the daemon's clock axis even when agent clocks skew.
 type analyzerTier struct{ an *analyzer.Analyzer }
 
-func (t analyzerTier) Upload(b proto.UploadBatch) {
-	b.Sent = sim.Time(time.Now().UnixNano())
-	t.an.Upload(b)
+// UploadRecords implements proto.RecordSink. The delivered batch is
+// shared with the other subscribers, so the re-stamp goes on a shallow
+// copy; the analyzer copies the columns out before returning.
+func (t analyzerTier) UploadRecords(b *proto.RecordBatch) {
+	stamped := *b
+	stamped.Sent = sim.Time(time.Now().UnixNano())
+	t.an.UploadRecords(&stamped)
 }
 
 func parsePolicy(s string) (pipeline.Policy, error) {
@@ -240,9 +245,12 @@ func main() {
 	agg := newAggregator(db)
 	pipe := pipeline.New(pipeline.Config{
 		Partitions: *partitions, Capacity: *capacity, Policy: pol,
-	}, agg, analyzerTier{an})
-	// The store's sketch tier consumes delivered record batches directly
-	// (per-host ingest.rtt.* quantile ladders + per-device tallies).
+	})
+	// Every subscriber takes the flat record batches the wire server
+	// decoded; the store's sketch tier keeps per-host ingest.rtt.*
+	// quantile ladders and per-device tallies.
+	pipe.SubscribeRecords(agg)
+	pipe.SubscribeRecords(analyzerTier{an})
 	pipe.SubscribeRecords(db)
 	pipe.Start()
 	defer pipe.Stop()

@@ -303,6 +303,8 @@ type Analyzer struct {
 	// capacity) so steady-state ingest stops allocating.
 	pending *proto.Records
 	spare   *proto.Records
+	// boxed is Upload's conversion scratch (route-interned, reused).
+	boxed proto.RecordBatch
 
 	lastUpload map[topo.HostID]sim.Time
 	quarantine map[topo.DeviceID]sim.Time // RNIC -> quarantined-until
@@ -382,10 +384,8 @@ func (a *Analyzer) pendingLocked() *proto.Records {
 func (a *Analyzer) Upload(batch proto.UploadBatch) {
 	a.mu.Lock()
 	a.lastUpload[batch.Host] = batch.Sent
-	p := a.pendingLocked()
-	for i := range batch.Results {
-		p.AppendResult(batch.Results[i])
-	}
+	a.boxed.SetFromBatch(batch)
+	a.pendingLocked().AppendFrom(&a.boxed.Records)
 	a.mu.Unlock()
 }
 

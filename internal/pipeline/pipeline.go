@@ -382,8 +382,8 @@ func (p *Pipeline) PartitionOf(host string) int {
 }
 
 // Upload implements proto.UploadSink: the compatibility path. The batch
-// is converted to flat form on entry (one allocation per batch) and its
-// queue residence is measured exactly.
+// is converted to flat form on entry (proto.RecordsFromBatch, routes
+// interned) and its queue residence is measured exactly.
 func (p *Pipeline) Upload(b proto.UploadBatch) {
 	pi := PartitionKey(string(b.Host), len(p.parts))
 	p.enqueue(pi, proto.RecordsFromBatch(b), true)

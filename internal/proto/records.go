@@ -12,6 +12,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"net/netip"
+	"slices"
 
 	"rpingmesh/internal/rnic"
 	"rpingmesh/internal/sim"
@@ -77,6 +78,18 @@ func (r *Records) Reset() {
 	r.oneway = r.oneway[:0]
 }
 
+// reserve makes room for n more records in every column.
+func (r *Records) reserve(n int) {
+	r.routeIdx = slices.Grow(r.routeIdx, n)
+	r.seq = slices.Grow(r.seq, n)
+	r.sentAt = slices.Grow(r.sentAt, n)
+	r.flags = slices.Grow(r.flags, n)
+	r.rtt = slices.Grow(r.rtt, n)
+	r.probd = slices.Grow(r.probd, n)
+	r.respd = slices.Grow(r.respd, n)
+	r.oneway = slices.Grow(r.oneway, n)
+}
+
 // AddRoute interns a route and returns its index. Callers are expected
 // to deduplicate themselves (the agent keys routes by pinglist entry);
 // AddRoute never scans.
@@ -134,33 +147,6 @@ func (r *Records) Append(route int32, seq uint64, sentAt sim.Time, flags uint8, 
 	r.oneway = append(r.oneway, oneway)
 }
 
-// AppendResult adds one classic ProbeResult, interning a fresh route for
-// it. This is the compatibility path; hot producers intern routes once
-// via AddRoute and call Append.
-func (r *Records) AppendResult(p ProbeResult) {
-	ri := r.AddRoute(Route{
-		Kind:      p.Kind,
-		SrcDev:    p.SrcDev,
-		SrcHost:   p.SrcHost,
-		DstDev:    p.DstDev,
-		DstHost:   p.DstHost,
-		SrcIP:     p.SrcIP,
-		DstIP:     p.DstIP,
-		SrcPort:   p.SrcPort,
-		DstQPN:    p.DstQPN,
-		ProbePath: p.ProbePath,
-		AckPath:   p.AckPath,
-	})
-	var fl uint8
-	if p.Timeout {
-		fl |= RecTimeout
-	}
-	if p.OneWay {
-		fl |= RecOneWay
-	}
-	r.Append(ri, p.Seq, p.SentAt, fl, p.NetworkRTT, p.ProberDelay, p.ResponderDelay, p.OneWayDelay)
-}
-
 // DropFirst sheds the n oldest records in place (the agent's buffer-cap
 // eviction). Interned routes are kept — indexes of surviving records
 // stay valid.
@@ -204,7 +190,7 @@ func (r *Records) AppendFrom(o *Records) {
 }
 
 // ResultAt materializes record i as a classic ProbeResult, value-
-// faithful to what AppendResult consumed (path slices alias the route
+// faithful to what SetFromBatch consumed (path slices alias the route
 // table).
 func (r *Records) ResultAt(i int) ProbeResult {
 	rt := &r.routes[r.routeIdx[i]]
@@ -247,6 +233,8 @@ type RecordBatch struct {
 	Sent sim.Time
 	Seq  uint64
 	Records
+
+	intern map[routeKey]int32 // SetFromBatch's route index, kept for reuse
 }
 
 // ToUploadBatch materializes the batch as a classic UploadBatch for
@@ -261,24 +249,76 @@ func (b *RecordBatch) ToUploadBatch() UploadBatch {
 }
 
 // RecordsFromBatch converts a classic UploadBatch into a fresh
-// RecordBatch (one interned route per result — the compatibility path).
+// RecordBatch with interned routes (see SetFromBatch).
 func RecordsFromBatch(ub UploadBatch) *RecordBatch {
-	b := &RecordBatch{Host: ub.Host, Sent: ub.Sent, Seq: ub.Seq}
-	if n := len(ub.Results); n > 0 {
-		b.routes = make([]Route, 0, n)
-		b.routeIdx = make([]int32, 0, n)
-		b.seq = make([]uint64, 0, n)
-		b.sentAt = make([]sim.Time, 0, n)
-		b.flags = make([]uint8, 0, n)
-		b.rtt = make([]sim.Time, 0, n)
-		b.probd = make([]sim.Time, 0, n)
-		b.respd = make([]sim.Time, 0, n)
-		b.oneway = make([]sim.Time, 0, n)
+	b := &RecordBatch{}
+	b.SetFromBatch(ub)
+	b.intern = nil // the batch outlives the conversion; the index does not
+	return b
+}
+
+// routeKey is the comparable part of a Route: the interning index keys
+// on it and checks the two paths with slices.Equal.
+type routeKey struct {
+	kind             ProbeKind
+	srcDev, dstDev   topo.DeviceID
+	srcHost, dstHost topo.HostID
+	srcIP, dstIP     netip.Addr
+	srcPort          uint16
+	dstQPN           rnic.QPN
+}
+
+// SetFromBatch replaces b's contents with ub, interning routes: results
+// that share every addressing field and both paths share one route
+// table entry, in first-seen order. Column capacity is reused, so a
+// long-lived scratch batch converts without per-call allocation once
+// warm. Path slices alias ub's.
+func (b *RecordBatch) SetFromBatch(ub UploadBatch) {
+	b.Host, b.Sent, b.Seq = ub.Host, ub.Sent, ub.Seq
+	b.Reset()
+	b.reserve(len(ub.Results))
+	if b.intern == nil {
+		b.intern = make(map[routeKey]int32)
+	} else {
+		clear(b.intern)
 	}
 	for i := range ub.Results {
-		b.AppendResult(ub.Results[i])
+		p := &ub.Results[i]
+		k := routeKey{
+			kind: p.Kind, srcDev: p.SrcDev, dstDev: p.DstDev,
+			srcHost: p.SrcHost, dstHost: p.DstHost,
+			srcIP: p.SrcIP, dstIP: p.DstIP,
+			srcPort: p.SrcPort, dstQPN: p.DstQPN,
+		}
+		ri, ok := b.intern[k]
+		if !ok || !slices.Equal(b.routes[ri].ProbePath, p.ProbePath) ||
+			!slices.Equal(b.routes[ri].AckPath, p.AckPath) {
+			// New route, or the same endpoints on another path: the
+			// index follows the latest path.
+			ri = b.AddRoute(Route{
+				Kind:      p.Kind,
+				SrcDev:    p.SrcDev,
+				SrcHost:   p.SrcHost,
+				DstDev:    p.DstDev,
+				DstHost:   p.DstHost,
+				SrcIP:     p.SrcIP,
+				DstIP:     p.DstIP,
+				SrcPort:   p.SrcPort,
+				DstQPN:    p.DstQPN,
+				ProbePath: p.ProbePath,
+				AckPath:   p.AckPath,
+			})
+			b.intern[k] = ri
+		}
+		var fl uint8
+		if p.Timeout {
+			fl |= RecTimeout
+		}
+		if p.OneWay {
+			fl |= RecOneWay
+		}
+		b.Append(ri, p.Seq, p.SentAt, fl, p.NetworkRTT, p.ProberDelay, p.ResponderDelay, p.OneWayDelay)
 	}
-	return b
 }
 
 // RecordSink receives flat record batches. Delivered batches are
@@ -386,15 +426,22 @@ func (r *wireReader) u64() uint64 {
 	return v
 }
 func (r *wireReader) i64() int64 { return int64(r.u64()) }
-func (r *wireReader) str() string {
+
+// str reads a string, returning like itself when the bytes match: routes
+// of one batch mostly repeat their neighbour's devices and hosts, so
+// decode shares those strings instead of allocating each one.
+func (r *wireReader) str(like string) string {
 	n := int(r.u32())
 	if r.err != nil || n > maxWireString || r.off+n > len(r.b) {
 		r.fail()
 		return ""
 	}
-	s := string(r.b[r.off : r.off+n])
+	raw := r.b[r.off : r.off+n]
 	r.off += n
-	return s
+	if string(raw) == like {
+		return like
+	}
+	return string(raw)
 }
 func (r *wireReader) addr() netip.Addr {
 	switch n := r.u8(); n {
@@ -440,8 +487,13 @@ func (r *wireReader) path() []topo.LinkID {
 }
 
 // MarshalBinary encodes the batch in the deterministic flat layout.
-func (b *RecordBatch) MarshalBinary() ([]byte, error) {
-	w := wireWriter{b: make([]byte, 0, 64+len(b.routes)*96+b.Len()*41)}
+func (b *RecordBatch) MarshalBinary() ([]byte, error) { return b.AppendBinary(nil) }
+
+// AppendBinary appends the batch's flat encoding to dst and returns the
+// extended buffer — MarshalBinary without the allocation when dst has
+// room. The first byte written is the codec version.
+func (b *RecordBatch) AppendBinary(dst []byte) ([]byte, error) {
+	w := wireWriter{b: slices.Grow(dst, 64+len(b.routes)*96+b.Len()*41)}
 	w.u8(recordWireVersion)
 	w.str(string(b.Host))
 	w.i64(int64(b.Sent))
@@ -496,7 +548,7 @@ func (b *RecordBatch) UnmarshalBinary(data []byte) error {
 	if v := r.u8(); r.err == nil && v != recordWireVersion {
 		return errors.New("proto: unsupported record batch version")
 	}
-	host := r.str()
+	host := r.str("")
 	sent := sim.Time(r.i64())
 	seq := r.u64()
 
@@ -507,6 +559,7 @@ func (b *RecordBatch) UnmarshalBinary(data []byte) error {
 		return errShortBuffer
 	}
 	routes := make([]Route, 0, nr)
+	prev := Route{SrcHost: topo.HostID(host)}
 	for i := 0; i < nr; i++ {
 		kind := ProbeKind(r.u8())
 		if r.err == nil && (kind < ToRMesh || kind > ServiceTracing) {
@@ -514,10 +567,10 @@ func (b *RecordBatch) UnmarshalBinary(data []byte) error {
 		}
 		rt := Route{
 			Kind:    kind,
-			SrcDev:  topo.DeviceID(r.str()),
-			SrcHost: topo.HostID(r.str()),
-			DstDev:  topo.DeviceID(r.str()),
-			DstHost: topo.HostID(r.str()),
+			SrcDev:  topo.DeviceID(r.str(string(prev.SrcDev))),
+			SrcHost: topo.HostID(r.str(string(prev.SrcHost))),
+			DstDev:  topo.DeviceID(r.str(string(prev.DstDev))),
+			DstHost: topo.HostID(r.str(string(prev.DstHost))),
 			SrcIP:   r.addr(),
 			DstIP:   r.addr(),
 		}
@@ -529,6 +582,7 @@ func (b *RecordBatch) UnmarshalBinary(data []byte) error {
 			return r.err
 		}
 		routes = append(routes, rt)
+		prev = rt
 	}
 
 	n := int(r.u32())

@@ -148,3 +148,43 @@ func TestRecordsRoundTripValues(t *testing.T) {
 		}
 	}
 }
+
+// TestSetFromBatchInternsRoutes: results sharing every addressing field
+// and both paths share one route; the same endpoints on another path get
+// their own. Every result survives value-for-value, and a warm scratch
+// batch converts without allocating.
+func TestSetFromBatchInternsRoutes(t *testing.T) {
+	base := sampleRecordBatch().ToUploadBatch()
+	var ub UploadBatch
+	ub.Host, ub.Sent, ub.Seq = base.Host, base.Sent, base.Seq
+	for i := 0; i < 4; i++ {
+		ub.Results = append(ub.Results, base.Results...)
+	}
+	rerouted := base.Results[0]
+	rerouted.ProbePath = []topo.LinkID{1, 9, 3}
+	ub.Results = append(ub.Results, rerouted)
+
+	var b RecordBatch
+	b.SetFromBatch(ub)
+	if b.Len() != len(ub.Results) {
+		t.Fatalf("len %d, want %d", b.Len(), len(ub.Results))
+	}
+	// sampleRecordBatch has two routes; the rerouted result adds a third.
+	if b.Routes() != 3 {
+		t.Fatalf("routes = %d, want 3", b.Routes())
+	}
+	for i, want := range ub.Results {
+		if got := b.ResultAt(i); !reflect.DeepEqual(got, want) {
+			t.Fatalf("record %d:\n  got  %+v\n  want %+v", i, got, want)
+		}
+	}
+	if b.Host != ub.Host || b.Sent != ub.Sent || b.Seq != ub.Seq {
+		t.Fatalf("header %s/%d/%d", b.Host, b.Sent, b.Seq)
+	}
+	if n := testing.AllocsPerRun(20, func() { b.SetFromBatch(ub) }); n != 0 {
+		t.Fatalf("warm SetFromBatch allocates %.0f times", n)
+	}
+	if fresh := RecordsFromBatch(ub); fresh.Routes() != 3 || fresh.intern != nil {
+		t.Fatalf("RecordsFromBatch: %d routes, index kept = %v", fresh.Routes(), fresh.intern != nil)
+	}
+}

@@ -9,8 +9,9 @@
 //     element survives into the next level with doubled weight. Offsets
 //     alternate per level, and the sketch tracks the worst-case rank
 //     error those compactions can have introduced, so every quantile
-//     answer ships with an honest error bound. All buffers are allocated
-//     once, sized from the per-series byte budget — a sketch never grows.
+//     answer ships with an honest error bound. Each level's buffer is
+//     allocated once, at the k items it can hold, and the ladder height
+//     is sized from the per-series byte budget — a sketch never grows.
 //
 //   - CountMin is the classic conservative-overestimate counter array
 //     (depth rows × width counters, double hashing). Estimates are never
@@ -58,16 +59,21 @@ func NewQuantileSketch(k, maxLevels int) *QuantileSketch {
 	return &QuantileSketch{k: k, max: maxLevels}
 }
 
-// levelCap is the fixed allocation per level: a level holds at most k-1
-// resident items plus up to (k+1)/2 compaction survivors arriving from
-// below before it is itself compacted.
-func (s *QuantileSketch) levelCap() int { return s.k + (s.k+1)/2 }
+// mergeCap bounds a level during Merge: up to k-1 resident items plus
+// up to (k+1)/2 arriving survivors before it is itself compacted. The
+// tier's byte budget (Config.sketchLevels) is sized per level at this
+// bound.
+func (s *QuantileSketch) mergeCap() int { return s.k + (s.k+1)/2 }
 
+// level returns level i, creating levels up to it. Levels are allocated
+// at k items, the most Add ever leaves in one when k is a power of two
+// (sketchK is): level 0 compacts on reaching k, and an upper level fills
+// in equal chunks of survivors, each dividing k, until it reaches k.
 func (s *QuantileSketch) level(i int) *sketchLevel {
 	for len(s.levels) <= i {
 		s.levels = append(s.levels, sketchLevel{
 			w:     1 << uint(len(s.levels)),
-			items: make([]float64, 0, s.levelCap()),
+			items: make([]float64, 0, s.k),
 		})
 	}
 	return &s.levels[i]
@@ -167,8 +173,12 @@ func (s *QuantileSketch) Merge(o *QuantileSketch) {
 				s.errHalf += d * uint64(len(src.items))
 			}
 		}
+		if lv := &s.levels[dst]; cap(lv.items) < s.mergeCap() {
+			// Folding may fill the level past k: step it to the budget.
+			lv.items = append(make([]float64, 0, s.mergeCap()), lv.items...)
+		}
 		for _, v := range src.items {
-			if len(s.levels[dst].items) >= s.levelCap()-1 {
+			if len(s.levels[dst].items) >= s.mergeCap()-1 {
 				s.compact(dst)
 			}
 			s.levels[dst].items = append(s.levels[dst].items, v)
@@ -229,7 +239,10 @@ func (s *QuantileSketch) ErrorBound() float64 {
 	return float64(s.errHalf) / 2 / float64(s.count)
 }
 
-// Bytes reports the sketch's fixed allocation footprint.
+// Bytes reports the sketch's allocation footprint. Under Add each level
+// is allocated once at k items — inside the k+(k+1)/2 per-level budget
+// the tier sizes ladders by — and, for a power-of-two k, never grows.
+// Merge steps a level it folds into up to that budget.
 func (s *QuantileSketch) Bytes() int {
 	b := 64 // struct header
 	for i := range s.levels {

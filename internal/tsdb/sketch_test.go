@@ -133,6 +133,28 @@ func TestQuantileSketchBytesBounded(t *testing.T) {
 	}
 }
 
+// TestQuantileSketchLevelsSizedToContents: under Add, every level keeps
+// the k-item allocation it was created with — for the tier's
+// power-of-two k, chunks of survivors fill a level exactly to k — and
+// the ladder still reaches the budget's height.
+func TestQuantileSketchLevelsSizedToContents(t *testing.T) {
+	for _, maxLevels := range []int{2, 5} {
+		qs := NewQuantileSketch(sketchK, maxLevels)
+		g := lcg(uint64(maxLevels))
+		for i := 0; i < 100000; i++ {
+			qs.Add(g.next())
+			for j := range qs.levels {
+				if c := cap(qs.levels[j].items); c != sketchK {
+					t.Fatalf("max=%d: level %d grew to cap %d, allocated %d", maxLevels, j, c, sketchK)
+				}
+			}
+		}
+		if len(qs.levels) != maxLevels+1 {
+			t.Fatalf("ladder height %d, want %d", len(qs.levels), maxLevels+1)
+		}
+	}
+}
+
 // TestSketchDeterministic pins bit-reproducibility: identical streams
 // produce identical quantile answers, error bounds, and footprints. The
 // determinism make target runs this at GOMAXPROCS 1 and 8.

@@ -204,11 +204,11 @@ func TestRedialErrorSurfaced(t *testing.T) {
 	cli.dialFn = func(string) (net.Conn, error) { return nil, boom }
 	cli.mu.Unlock()
 
-	if _, err := cli.roundTrip(&request{Op: opPinglists, Host: tp.AllHosts()[0]}); !errors.Is(err, boom) {
+	if _, err := cli.roundTrip(jsonBody(&request{Op: opPinglists, Host: tp.AllHosts()[0]})); !errors.Is(err, boom) {
 		t.Fatalf("first blocked round trip returned %v, want the dial error", err)
 	}
 	// Inside the window the last error is still surfaced, not swallowed.
-	if _, err := cli.roundTrip(&request{Op: opPinglists, Host: tp.AllHosts()[0]}); !errors.Is(err, boom) {
+	if _, err := cli.roundTrip(jsonBody(&request{Op: opPinglists, Host: tp.AllHosts()[0]})); !errors.Is(err, boom) {
 		t.Fatalf("in-window round trip returned %v, want the dial error", err)
 	}
 }

@@ -1,8 +1,8 @@
 // Federation transport: the Hello/Heartbeat/VoteBatch/IncidentSync ops
-// of the internal/fed coordination tier, carried over the same
-// length-prefixed JSON frames as the agent↔controller protocol. The
-// Server side delegates to a FedBackend (a fed node's coordination
-// state); the Client side is what a peer node dials.
+// of the internal/fed coordination tier, carried as JSON control frames
+// like the agent↔controller control ops. The Server side delegates to a
+// FedBackend (a fed node's coordination state); the Client side is what
+// a peer node dials.
 
 package wire
 
@@ -76,7 +76,7 @@ func (s *Server) dispatchFed(req *request) response {
 
 // FedHello introduces this client's node to the peer.
 func (c *Client) FedHello(h proto.Hello) (proto.HelloReply, error) {
-	resp, err := c.roundTrip(&request{Op: opFedHello, Hello: &h})
+	resp, err := c.roundTrip(jsonBody(&request{Op: opFedHello, Hello: &h}))
 	if err != nil {
 		return proto.HelloReply{}, err
 	}
@@ -88,13 +88,13 @@ func (c *Client) FedHello(h proto.Hello) (proto.HelloReply, error) {
 
 // FedHeartbeat delivers a liveness beacon.
 func (c *Client) FedHeartbeat(hb proto.Heartbeat) error {
-	_, err := c.roundTrip(&request{Op: opFedHeartbeat, Heartbeat: &hb})
+	_, err := c.roundTrip(jsonBody(&request{Op: opFedHeartbeat, Heartbeat: &hb}))
 	return err
 }
 
 // FedVotes offers a vote batch and returns the receiver's ack.
 func (c *Client) FedVotes(b proto.VoteBatch) (proto.VoteAck, error) {
-	resp, err := c.roundTrip(&request{Op: opFedVotes, Votes: &b})
+	resp, err := c.roundTrip(jsonBody(&request{Op: opFedVotes, Votes: &b}))
 	if err != nil {
 		return proto.VoteAck{}, err
 	}
@@ -106,7 +106,7 @@ func (c *Client) FedVotes(b proto.VoteBatch) (proto.VoteAck, error) {
 
 // FedSyncSince pulls committed rounds after sinceSeq from the peer.
 func (c *Client) FedSyncSince(sinceSeq uint64) (proto.IncidentSync, error) {
-	resp, err := c.roundTrip(&request{Op: opFedSync, SinceSeq: sinceSeq})
+	resp, err := c.roundTrip(jsonBody(&request{Op: opFedSync, SinceSeq: sinceSeq}))
 	if err != nil {
 		return proto.IncidentSync{}, err
 	}

@@ -1,7 +1,14 @@
 // Package wire carries the Agent ↔ Controller ↔ Analyzer protocol over
 // TCP, as in the paper's deployment where the three modules interact over
-// the management network (Fig 3). Frames are 4-byte big-endian length
-// prefixes followed by JSON — simple, debuggable, and offline-friendly.
+// the management network (Fig 3). Frames are a 4-byte big-endian length
+// prefix followed by a body of one of two kinds, told apart by its first
+// byte:
+//
+//   - upload frames carry a proto.RecordBatch in the flat record codec,
+//     whose first byte is the codec version (1) — the same columnar form
+//     the pipeline, analyzer and tsdb consume, so ingest never boxes;
+//   - control frames (register, pinglists, lookup, federation ops, and
+//     every response) are JSON objects, which always start with '{'.
 //
 // The Server wraps any proto.Controller and proto.UploadSink; the Client
 // implements both interfaces, so an Agent can be pointed at a remote
@@ -17,6 +24,7 @@ import (
 	"io"
 	"net"
 	"net/netip"
+	"slices"
 	"sync"
 	"time"
 
@@ -28,20 +36,23 @@ import (
 // large host fits well under this).
 const MaxFrame = 16 << 20
 
-// Op codes.
+// maxKeptBuffer caps the frame buffer a connection keeps between frames:
+// one large upload must not pin its size for the connection's lifetime.
+const maxKeptBuffer = 1 << 20
+
+// Op codes of the JSON control frames. Uploads have no op code: a body
+// that does not start with '{' is a flat record batch.
 const (
 	opRegister  = "register"
 	opPinglists = "pinglists"
 	opLookup    = "lookup"
-	opUpload    = "upload"
 )
 
 type request struct {
-	Op       string             `json:"op"`
-	Register []proto.RNICInfo   `json:"register,omitempty"`
-	Host     topo.HostID        `json:"host,omitempty"`
-	IP       netip.Addr         `json:"ip,omitzero"`
-	Batch    *proto.UploadBatch `json:"batch,omitempty"`
+	Op       string           `json:"op"`
+	Register []proto.RNICInfo `json:"register,omitempty"`
+	Host     topo.HostID      `json:"host,omitempty"`
+	IP       netip.Addr       `json:"ip,omitzero"`
 
 	// Federation ops (fed.* — see fed.go).
 	Hello     *proto.Hello     `json:"hello,omitempty"`
@@ -63,39 +74,80 @@ type response struct {
 	Sync       *proto.IncidentSync `json:"sync,omitempty"`
 }
 
-// writeFrame writes one length-prefixed JSON frame.
-func writeFrame(w io.Writer, v any) error {
-	body, err := json.Marshal(v)
+// appendBody appends a frame body to dst and returns the extended buffer.
+type appendBody func(dst []byte) ([]byte, error)
+
+// jsonBody encodes v as a JSON control body.
+func jsonBody(v any) appendBody {
+	return func(dst []byte) ([]byte, error) {
+		body, err := json.Marshal(v)
+		if err != nil {
+			return dst, fmt.Errorf("wire: marshal: %w", err)
+		}
+		return append(dst, body...), nil
+	}
+}
+
+// appendFrame appends one length-prefixed frame to dst. On error dst is
+// returned unextended.
+func appendFrame(dst []byte, body appendBody) ([]byte, error) {
+	start := len(dst)
+	out, err := body(append(dst, 0, 0, 0, 0))
 	if err != nil {
-		return fmt.Errorf("wire: marshal: %w", err)
+		return dst[:start], err
 	}
-	if len(body) > MaxFrame {
-		return fmt.Errorf("wire: frame of %d bytes exceeds limit", len(body))
+	n := len(out) - start - 4
+	if n > MaxFrame {
+		return dst[:start], fmt.Errorf("wire: frame of %d bytes exceeds limit", n)
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	binary.BigEndian.PutUint32(out[start:], uint32(n))
+	return out, nil
+}
+
+// writeFrame writes one length-prefixed JSON frame with a single Write.
+func writeFrame(w io.Writer, v any) error {
+	frame, err := appendFrame(nil, jsonBody(v))
+	if err != nil {
 		return err
 	}
-	_, err = w.Write(body)
+	_, err = w.Write(frame)
 	return err
 }
 
-// readFrame reads one frame into v.
-func readFrame(r io.Reader, v any) error {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return err
+// readBody reads one frame and returns its body, reusing buf's capacity
+// when it is large enough.
+func readBody(r io.Reader, buf []byte) ([]byte, error) {
+	hdr := slices.Grow(buf[:0], 4)[:4]
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr)
 	if n > MaxFrame {
-		return fmt.Errorf("wire: frame of %d bytes exceeds limit", n)
+		return nil, fmt.Errorf("wire: frame of %d bytes exceeds limit", n)
 	}
-	body := make([]byte, n)
+	body := slices.Grow(hdr[:0], int(n))[:n]
 	if _, err := io.ReadFull(r, body); err != nil {
+		return nil, err
+	}
+	return body, nil
+}
+
+// readFrame reads one JSON frame into v.
+func readFrame(r io.Reader, v any) error {
+	body, err := readBody(r, nil)
+	if err != nil {
 		return err
 	}
 	return json.Unmarshal(body, v)
+}
+
+// recycle returns buf emptied for the next frame, or nil when it grew
+// past maxKeptBuffer.
+func recycle(buf []byte) []byte {
+	if cap(buf) > maxKeptBuffer {
+		return nil
+	}
+	return buf[:0]
 }
 
 // Server exposes a Controller and an UploadSink over TCP. Either may be
@@ -206,16 +258,62 @@ func (s *Server) acceptLoop() {
 }
 
 func (s *Server) handle(conn net.Conn) {
+	var in, out []byte
 	for {
-		var req request
-		if err := readFrame(conn, &req); err != nil {
-			return // EOF or garbage: drop the connection
+		body, err := readBody(conn, in)
+		if err != nil {
+			return // EOF or oversized frame: drop the connection
 		}
-		resp := s.dispatch(&req)
-		if err := writeFrame(conn, resp); err != nil {
+		resp, err := s.handleBody(body)
+		if err != nil {
+			return // garbage: drop the connection
+		}
+		in = recycle(body)
+		if out, err = appendFrame(recycle(out), jsonBody(&resp)); err != nil {
+			return
+		}
+		if _, err := conn.Write(out); err != nil {
 			return
 		}
 	}
+}
+
+// handleBody decodes and runs one frame body. A body starting with '{'
+// is a JSON control request; anything else is a flat record batch,
+// whose leading version byte the codec checks. A body that decodes as
+// neither is an error and the caller drops the connection.
+func (s *Server) handleBody(body []byte) (response, error) {
+	if len(body) > 0 && body[0] == '{' {
+		var req request
+		if err := json.Unmarshal(body, &req); err != nil {
+			return response{}, err
+		}
+		return s.dispatch(&req), nil
+	}
+	// A fresh batch per frame: record sinks may keep it (the pipeline
+	// queues it). The decoder copies every field out of body, so the
+	// connection reuses body's buffer for the next frame.
+	rb := new(proto.RecordBatch)
+	if err := rb.UnmarshalBinary(body); err != nil {
+		return response{}, err
+	}
+	return s.upload(rb), nil
+}
+
+// upload hands a decoded batch to the sink: flat when the sink takes
+// records, boxed otherwise.
+func (s *Server) upload(rb *proto.RecordBatch) response {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.sink == nil {
+		return response{Error: "no sink"}
+	}
+	if rs, ok := s.sink.(proto.RecordSink); ok {
+		rs.UploadRecords(rb)
+	} else {
+		s.sink.Upload(rb.ToUploadBatch())
+	}
+	return response{OK: true}
 }
 
 func (s *Server) dispatch(req *request) response {
@@ -239,15 +337,6 @@ func (s *Server) dispatch(req *request) response {
 		}
 		info, found := s.ctrl.Lookup(req.IP)
 		return response{OK: true, Info: &info, Found: found}
-	case opUpload:
-		if s.sink == nil {
-			return response{Error: "no sink"}
-		}
-		if req.Batch == nil {
-			return response{Error: "missing batch"}
-		}
-		s.sink.Upload(*req.Batch)
-		return response{OK: true}
 	case opFedHello, opFedHeartbeat, opFedVotes, opFedSync:
 		return s.dispatchFed(req)
 	default:
@@ -287,6 +376,11 @@ type Client struct {
 	// Injectable for tests; defaulted by Dial.
 	now    func() time.Time
 	dialFn func(addr string) (net.Conn, error)
+
+	// Per-client scratch, reused under mu: the upload conversion, the
+	// outgoing frame and the response body.
+	rb      proto.RecordBatch
+	out, in []byte
 }
 
 // Dial connects to a Server.
@@ -373,13 +467,20 @@ func (c *Client) Err() error {
 	return c.err
 }
 
-func (c *Client) roundTrip(req *request) (response, error) {
+// roundTrip encodes one request frame and exchanges it for a response.
+func (c *Client) roundTrip(body appendBody) (response, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
 		return response{}, c.err
 	}
-	resp, err := c.attempt(req)
+	frame, err := appendFrame(recycle(c.out), body)
+	c.out = frame
+	if err != nil {
+		c.err = err
+		return response{}, err
+	}
+	resp, err := c.attempt(frame)
 	if err == nil {
 		c.err = nil
 		return resp, nil
@@ -396,7 +497,7 @@ func (c *Client) roundTrip(req *request) (response, error) {
 	if derr := c.redial(); derr != nil {
 		return response{}, derr
 	}
-	resp, err = c.attempt(req)
+	resp, err = c.attempt(frame)
 	if err != nil {
 		c.err = err
 		return response{}, err
@@ -405,16 +506,22 @@ func (c *Client) roundTrip(req *request) (response, error) {
 	return resp, nil
 }
 
-// attempt runs one request on the current connection; callers hold mu.
-func (c *Client) attempt(req *request) (response, error) {
+// attempt sends one encoded frame on the current connection with a
+// single Write and reads the response; callers hold mu.
+func (c *Client) attempt(frame []byte) (response, error) {
 	if c.conn == nil {
 		return response{}, errors.New("wire: no connection")
 	}
-	if err := writeFrame(c.conn, req); err != nil {
+	if _, err := c.conn.Write(frame); err != nil {
 		return response{}, err
 	}
+	body, err := readBody(c.conn, c.in)
+	if err != nil {
+		return response{}, err
+	}
+	c.in = recycle(body)
 	var resp response
-	if err := readFrame(c.conn, &resp); err != nil {
+	if err := json.Unmarshal(body, &resp); err != nil {
 		return response{}, err
 	}
 	if !resp.OK {
@@ -425,12 +532,12 @@ func (c *Client) attempt(req *request) (response, error) {
 
 // Register implements proto.Controller.
 func (c *Client) Register(infos []proto.RNICInfo) {
-	_, _ = c.roundTrip(&request{Op: opRegister, Register: infos})
+	_, _ = c.roundTrip(jsonBody(&request{Op: opRegister, Register: infos}))
 }
 
 // Pinglists implements proto.Controller.
 func (c *Client) Pinglists(host topo.HostID) []proto.Pinglist {
-	resp, err := c.roundTrip(&request{Op: opPinglists, Host: host})
+	resp, err := c.roundTrip(jsonBody(&request{Op: opPinglists, Host: host}))
 	if err != nil {
 		return nil
 	}
@@ -439,16 +546,20 @@ func (c *Client) Pinglists(host topo.HostID) []proto.Pinglist {
 
 // Lookup implements proto.Controller.
 func (c *Client) Lookup(ip netip.Addr) (proto.RNICInfo, bool) {
-	resp, err := c.roundTrip(&request{Op: opLookup, IP: ip})
+	resp, err := c.roundTrip(jsonBody(&request{Op: opLookup, IP: ip}))
 	if err != nil || !resp.Found || resp.Info == nil {
 		return proto.RNICInfo{}, false
 	}
 	return *resp.Info, true
 }
 
-// Upload implements proto.UploadSink.
+// Upload implements proto.UploadSink. The batch travels as one flat
+// record frame, converted and encoded in the client's reused scratch.
 func (c *Client) Upload(batch proto.UploadBatch) {
-	_, _ = c.roundTrip(&request{Op: opUpload, Batch: &batch})
+	_, _ = c.roundTrip(func(dst []byte) ([]byte, error) {
+		c.rb.SetFromBatch(batch)
+		return c.rb.AppendBinary(dst)
+	})
 }
 
 var (

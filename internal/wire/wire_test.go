@@ -2,10 +2,14 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
+	"io"
 	"net"
 	"net/netip"
+	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"rpingmesh/internal/controller"
 	"rpingmesh/internal/proto"
@@ -113,36 +117,154 @@ func TestPinglistsOverTCP(t *testing.T) {
 	}
 }
 
-func TestUploadOverTCP(t *testing.T) {
-	ctrl, tp := testBackend(t)
-	sink := &memSink{}
-	_, cli := startServer(t, ctrl, sink)
+// recSink collects flat uploads. It also satisfies proto.UploadSink, as
+// the Server's constructor requires, but boxed deliveries are counted
+// separately so tests can tell which path the server took.
+type recSink struct {
+	mu      sync.Mutex
+	batches []*proto.RecordBatch
+	boxed   int
+}
 
-	r := tp.RNICs[tp.AllRNICs()[0]]
-	batch := proto.UploadBatch{
-		Host: r.Host,
-		Sent: 12345,
-		Results: []proto.ProbeResult{{
-			Seq: 1, Kind: proto.ToRMesh,
-			SrcDev: r.ID, DstDev: "other",
-			SrcIP: r.IP, DstIP: netip.AddrFrom4([4]byte{10, 0, 0, 9}),
-			NetworkRTT: 10 * sim.Microsecond,
-			ProbePath:  []topo.LinkID{1, 2, 3},
-		}},
+func (m *recSink) UploadRecords(b *proto.RecordBatch) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.batches = append(m.batches, b)
+}
+
+func (m *recSink) Upload(proto.UploadBatch) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.boxed++
+}
+
+func (m *recSink) count() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.batches) + m.boxed
+}
+
+// multiRouteBatch builds an upload of routes×perRoute results: every
+// route repeats across its results, paths are present on some routes,
+// and the results mix timeouts, one-way probes, v4 and v6 addresses.
+func multiRouteBatch(routes, perRoute int) proto.UploadBatch {
+	ub := proto.UploadBatch{Host: "host-0", Sent: 12345 * sim.Microsecond, Seq: 7}
+	for i := 0; i < perRoute; i++ {
+		for r := 0; r < routes; r++ {
+			p := proto.ProbeResult{
+				Seq:            uint64(i*routes + r + 1),
+				Kind:           proto.ProbeKind(int(proto.ToRMesh) + r%3),
+				SrcDev:         "host-0/rnic0",
+				SrcHost:        "host-0",
+				DstDev:         topo.DeviceID("host-" + string(rune('a'+r)) + "/rnic1"),
+				DstHost:        topo.HostID("host-" + string(rune('a'+r))),
+				SrcIP:          netip.AddrFrom4([4]byte{10, 0, 0, 1}),
+				DstIP:          netip.AddrFrom4([4]byte{10, 0, 1, byte(r)}),
+				SrcPort:        uint16(49152 + r),
+				DstQPN:         rnic.QPN(100 + r),
+				SentAt:         sim.Time(i) * sim.Millisecond,
+				NetworkRTT:     sim.Time(2000 + 10*r + i),
+				ProberDelay:    sim.Time(300 + i),
+				ResponderDelay: sim.Time(250 + r),
+			}
+			if r%2 == 0 {
+				p.ProbePath = []topo.LinkID{topo.LinkID(r), 40, 41}
+				p.AckPath = []topo.LinkID{41, 40, topo.LinkID(r)}
+			}
+			if r%4 == 3 {
+				p.DstIP = netip.MustParseAddr("fd00::9")
+			}
+			switch {
+			case (i+r)%5 == 0:
+				p.Timeout = true
+				p.NetworkRTT, p.ProberDelay, p.ResponderDelay = 0, 0, 0
+			case r%3 == 1:
+				p.OneWay = true
+				p.OneWayDelay = sim.Time(1500 + r)
+			}
+			ub.Results = append(ub.Results, p)
+		}
 	}
-	cli.Upload(batch)
-	if err := cli.Err(); err != nil {
+	return ub
+}
+
+// An upload crosses TCP as a flat record frame and arrives with every
+// field intact — flat at a RecordSink (with its routes interned), boxed
+// at a plain UploadSink.
+func TestUploadOverTCP(t *testing.T) {
+	batch := multiRouteBatch(6, 5)
+
+	t.Run("record-sink", func(t *testing.T) {
+		sink := &recSink{}
+		_, cli := startServer(t, nil, sink)
+		cli.Upload(batch)
+		if err := cli.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if len(sink.batches) != 1 || sink.boxed != 0 {
+			t.Fatalf("sink got %d flat and %d boxed batches, want 1 flat", len(sink.batches), sink.boxed)
+		}
+		got := sink.batches[0]
+		if got.Host != batch.Host || got.Sent != batch.Sent || got.Seq != batch.Seq {
+			t.Fatalf("header = %s/%d/%d, want %s/%d/%d", got.Host, got.Sent, got.Seq, batch.Host, batch.Sent, batch.Seq)
+		}
+		if got.Len() != len(batch.Results) {
+			t.Fatalf("records = %d, want %d", got.Len(), len(batch.Results))
+		}
+		if got.Routes() >= got.Len() {
+			t.Fatalf("routes = %d for %d records: not interned", got.Routes(), got.Len())
+		}
+		for i, want := range batch.Results {
+			if r := got.ResultAt(i); !reflect.DeepEqual(r, want) {
+				t.Fatalf("record %d:\n got  %+v\n want %+v", i, r, want)
+			}
+		}
+	})
+
+	t.Run("upload-sink", func(t *testing.T) {
+		sink := &memSink{}
+		_, cli := startServer(t, nil, sink)
+		cli.Upload(batch)
+		if err := cli.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if sink.count() != 1 {
+			t.Fatalf("sink got %d batches", sink.count())
+		}
+		if got := sink.batches[0]; !reflect.DeepEqual(got, batch) {
+			t.Fatalf("batch:\n got  %+v\n want %+v", got, batch)
+		}
+	})
+}
+
+// A flat frame with an unknown codec version is garbage: the server
+// drops the connection and the sink never sees it.
+func TestUnknownRecordVersionDropsConnection(t *testing.T) {
+	sink := &recSink{}
+	srv, _ := startServer(t, nil, sink)
+	rb := proto.RecordsFromBatch(multiRouteBatch(2, 2))
+	body, err := rb.MarshalBinary()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if sink.count() != 1 {
-		t.Fatalf("sink got %d batches", sink.count())
+	body[0] = 2
+	frame := binary.BigEndian.AppendUint32(nil, uint32(len(body)))
+	frame = append(frame, body...)
+
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
 	}
-	got := sink.batches[0]
-	if got.Host != batch.Host || got.Sent != batch.Sent || len(got.Results) != 1 {
-		t.Fatalf("batch = %+v", got)
+	defer conn.Close()
+	if _, err := conn.Write(frame); err != nil {
+		t.Fatal(err)
 	}
-	if got.Results[0].NetworkRTT != 10*sim.Microsecond || len(got.Results[0].ProbePath) != 3 {
-		t.Fatalf("result = %+v", got.Results[0])
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if n, err := conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("read after version-2 frame = %d bytes, %v; want EOF", n, err)
+	}
+	if sink.count() != 0 {
+		t.Fatalf("sink received %d batches from a rejected frame", sink.count())
 	}
 }
 
@@ -177,6 +299,52 @@ func TestConcurrentClients(t *testing.T) {
 	wg.Wait()
 	if sink.count() != clients*uploads {
 		t.Fatalf("sink got %d batches, want %d", sink.count(), clients*uploads)
+	}
+}
+
+// One client shared by several goroutines: uploads and control calls
+// interleave on one connection, and the per-client scratch (conversion
+// batch, frame buffers) never mixes two requests.
+func TestClientSharedAcrossGoroutines(t *testing.T) {
+	ctrl, tp := testBackend(t)
+	sink := &recSink{}
+	_, cli := startServer(t, ctrl, sink)
+	cli.Register(allInfos(tp))
+
+	const workers, uploads = 4, 25
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < uploads; j++ {
+				ub := multiRouteBatch(w+1, j%3+1)
+				ub.Seq = uint64(w*uploads + j)
+				cli.Upload(ub)
+				if len(cli.Pinglists(tp.AllHosts()[0])) == 0 {
+					t.Error("no pinglists")
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if err := cli.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if len(sink.batches) != workers*uploads {
+		t.Fatalf("sink got %d batches, want %d", len(sink.batches), workers*uploads)
+	}
+	for _, got := range sink.batches {
+		w, j := int(got.Seq)/uploads, int(got.Seq)%uploads
+		want := multiRouteBatch(w+1, j%3+1)
+		if got.Len() != len(want.Results) || got.Routes() != w+1 {
+			t.Fatalf("batch %d: %d records on %d routes, want %d on %d", got.Seq, got.Len(), got.Routes(), len(want.Results), w+1)
+		}
+		for i := range want.Results {
+			if r := got.ResultAt(i); !reflect.DeepEqual(r, want.Results[i]) {
+				t.Fatalf("batch %d record %d differs", got.Seq, i)
+			}
+		}
 	}
 }
 
